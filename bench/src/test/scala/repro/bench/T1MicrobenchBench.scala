@@ -1,7 +1,6 @@
 package repro.bench
 
-import repro.core.{Hope, Scheme}
-import repro.eval.{Microbench, Tables}
+import repro.eval.{Microbench, PaperTables, Tables}
 
 /** T1 ⇔ Figure 8: compression rate / encoding latency / dictionary memory
   * per scheme × dataset × dictionary size. Shape assertions encode the
@@ -9,14 +8,7 @@ import repro.eval.{Microbench, Tables}
   */
 class T1MicrobenchBench extends BenchSuite {
 
-  private lazy val rows: Seq[Microbench.Row] = {
-    for {
-      ds <- Seq("email", "wiki", "url")
-      keys = BenchBase.keys(ds)
-      sample = BenchBase.sample(ds)
-      scheme <- BenchBase.fig8Schemes
-    } yield Microbench.run(ds, keys, sample, scheme)
-  }
+  private lazy val rows: Seq[Microbench.Row] = PaperTables.T1.rows(BenchBase)
 
   test("emit T1 (Fig. 8) table") {
     Tables.emit("T1_microbench", Tables.render(

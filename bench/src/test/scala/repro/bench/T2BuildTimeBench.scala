@@ -1,7 +1,7 @@
 package repro.bench
 
-import repro.core.{BuildStats, Hope, Scheme}
-import repro.eval.Tables
+import repro.core.BuildStats
+import repro.eval.{PaperTables, Tables}
 
 /** T2 ⇔ Figure 9: dictionary build-time breakdown (Symbol Selector /
   * Code Assigner / Dictionary) on a 1% email sample.
@@ -10,17 +10,7 @@ class T2BuildTimeBench extends BenchSuite {
 
   private lazy val sample = BenchBase.sample("email")
 
-  private lazy val rows: Seq[(String, Int, BuildStats)] = Seq[Scheme](
-    Scheme.SingleChar,
-    Scheme.DoubleChar,
-    Scheme.NGrams(3, 1 << 12), Scheme.NGrams(3, 1 << 16),
-    Scheme.NGrams(4, 1 << 12), Scheme.NGrams(4, 1 << 16),
-    Scheme.Alm(1 << 12, 12),
-    Scheme.AlmImproved(1 << 12), Scheme.AlmImproved(1 << 16),
-  ).map { s =>
-    val h = Hope.build(sample, s)
-    (s.name, h.entries, h.stats)
-  }
+  private lazy val rows: Seq[(String, Int, BuildStats)] = PaperTables.T2.rows(BenchBase)
 
   test("emit T2 (Fig. 9) table") {
     Tables.emit("T2_buildtime", Tables.render(

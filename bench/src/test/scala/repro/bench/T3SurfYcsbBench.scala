@@ -1,21 +1,13 @@
 package repro.bench
 
-import repro.eval.{Configs, Harness, Tables, TreeEvalRow}
+import repro.eval.{Configs, PaperTables, Tables, TreeEvalRow}
 
 /** T3 ⇔ Figure 10: SuRF under YCSB point/range workloads — latency, memory,
   * trie height per dataset × config. T4's FPR probes ride along for email.
   */
 class T3SurfYcsbBench extends BenchSuite {
 
-  private lazy val results: Seq[(TreeEvalRow, Double)] =
-    for {
-      ds <- Seq("email", "wiki", "url")
-      keys = BenchBase.keys(ds)
-      (name, scheme) <- Configs.all
-    } yield Harness.runSurf(ds, name, keys, scheme, suffixBits = 8,
-      nPoint = 20000, nRange = 3000,
-      negatives = if (ds == "email") BenchBase.negatives(10000) else Array.empty,
-      prebuilt = scheme.map(BenchBase.hope(ds, _)))
+  private lazy val results: Seq[(TreeEvalRow, Double)] = PaperTables.T3.rows(BenchBase)
 
   test("emit T3 (Fig. 10) table") {
     Tables.emit("T3_surf", Tables.render(

@@ -1,7 +1,6 @@
 package repro.bench
 
-import repro.eval.{Configs, KVTree, SparkTreeEval, Tables, TreeEvalRow}
-import repro.keys.KeySynth
+import repro.eval.{PaperTables, Tables, TreeEvalRow}
 
 /** T5 ⇔ Figure 12: point-query latency + memory for ART / HOT / B+tree /
   * Prefix B+tree under the seven configs — run per-partition on Spark
@@ -9,17 +8,7 @@ import repro.keys.KeySynth
   */
 class T5TreePointBench extends BenchSuite {
 
-  private lazy val rows: Seq[TreeEvalRow] =
-    for {
-      ds <- Seq("email", "wiki", "url")
-      df = KeySynth.dataset(spark, ds, if (ds == "url") BenchBase.nKeys / 2 else BenchBase.nKeys)
-        .cache()
-      tree <- KVTree.names
-      (name, scheme) <- Configs.all
-    } yield SparkTreeEval.aggregate(
-      SparkTreeEval.perPartition(spark, df, "k", tree, ds, name, scheme,
-        partitions = 4, nPoint = 6000, nRange = 400,
-        prebuilt = scheme.map(BenchBase.hope(ds, _))))
+  private lazy val rows: Seq[TreeEvalRow] = PaperTables.T5.rows(BenchBase)
 
   test("emit T5 (Fig. 12) table") {
     Tables.emit("T5_trees_point", Tables.render(

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.core.Scheme
-import repro.eval.{Microbench, Tables}
+import repro.eval.{PaperTables, Tables}
 
 /** T6 ⇔ Figure 13 (Appendix A): compression rate vs. sample size. The
   * paper's finding: 1% samples saturate CPR; higher-order schemes are more
@@ -9,17 +9,7 @@ import repro.eval.{Microbench, Tables}
   */
 class T6SampleSizeBench extends BenchSuite {
 
-  private lazy val keys = BenchBase.keys("email")
-
-  private lazy val rows: Seq[(Double, String, Double)] =
-    for {
-      frac <- Seq(0.0005, 0.005, 0.01, 0.1, 1.0)
-      scheme <- Seq[Scheme](Scheme.SingleChar, Scheme.DoubleChar,
-        Scheme.NGrams(3, 1 << 16), Scheme.NGrams(4, 1 << 16))
-    } yield {
-      val sample = keys.take(math.max(16, (keys.length * frac).toInt))
-      (frac, scheme.name, Microbench.run("email", keys, sample, scheme).cpr)
-    }
+  private lazy val rows: Seq[(Double, String, Double)] = PaperTables.T6.rows(BenchBase)
 
   test("emit T6 (Fig. 13) table") {
     Tables.emit("T6_samplesize", Tables.render(

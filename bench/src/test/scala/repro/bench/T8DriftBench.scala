@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.core.{Hope, Scheme}
-import repro.eval.{Microbench, Tables}
-import repro.keys.KeySynth
+import repro.eval.{PaperTables, Tables}
 
 /** T8 ⇔ Figure 15 (Appendix C): compression rate under a dramatic key-
   * distribution change — Email-A (gmail+yahoo) vs Email-B (the rest),
@@ -11,21 +10,9 @@ import repro.keys.KeySynth
   */
 class T8DriftBench extends BenchSuite {
 
-  private lazy val (aKeys, bKeys) = {
-    val (a, b) = KeySynth.emailsSplit(spark, BenchBase.nKeys * 2)
-    (KeySynth.collectKeys(a), KeySynth.collectKeys(b))
-  }
+  private lazy val (aKeys, bKeys) = BenchBase.emailSplit
 
-  private lazy val rows: Seq[(String, String, Double)] =
-    for {
-      scheme <- Seq[Scheme](Scheme.SingleChar, Scheme.DoubleChar,
-        Scheme.NGrams(3, 1 << 16), Scheme.NGrams(4, 1 << 16), Scheme.AlmImproved(1 << 16))
-      (dict, label) <- Seq((aKeys, "Dict-A"), (bKeys, "Dict-B"))
-      (data, dLabel) <- Seq((aKeys, "Email-A"), (bKeys, "Email-B"))
-    } yield {
-      val hope = Hope.build(dict.take(math.max(1000, dict.length / 100)), scheme)
-      (scheme.name, s"$label,$dLabel", Microbench.measure("email", data, hope).cpr)
-    }
+  private lazy val rows: Seq[(String, String, Double)] = PaperTables.T8.rows(BenchBase)
 
   test("emit T8 (Fig. 15) table") {
     Tables.emit("T8_drift", Tables.render(

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.eval.{Configs, Harness, KVTree, Tables, TreeEvalRow}
+import repro.eval.{KVTree, PaperTables, Tables, TreeEvalRow}
 
 /** T9 ⇔ Figure 16 (Appendix D): range-query and insert latency for the four
   * KV indexes on email keys (the paper reports the same qualitative story as
@@ -8,14 +8,7 @@ import repro.eval.{Configs, Harness, KVTree, Tables, TreeEvalRow}
   */
 class T9RangeInsertBench extends BenchSuite {
 
-  private lazy val keys = BenchBase.keys("email")
-
-  private lazy val rows: Seq[TreeEvalRow] =
-    for {
-      tree <- KVTree.names
-      (name, scheme) <- Configs.all
-    } yield Harness.runTree(tree, "email", name, keys, scheme,
-      nPoint = 4000, nRange = 1500, prebuilt = scheme.map(BenchBase.hope("email", _)))
+  private lazy val rows: Seq[TreeEvalRow] = PaperTables.T9.rows(BenchBase)
 
   test("emit T9 (Fig. 16) table") {
     Tables.emit("T9_range_insert", Tables.render(

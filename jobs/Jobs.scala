@@ -1,163 +1,60 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.eval._
-import repro.core.Scheme
-import repro.keys.KeySynth
+import repro.eval.{PaperTable, PaperTables, TableInputs, Tables}
 
 /** Shared session bootstrap for the spark-submit entrypoints (one per paper
-  * table; see DESIGN.md §2 for the table ↔ job mapping).
+  * table; see DESIGN.md §2 for the table ↔ job mapping). Each job prints the
+  * same tables, built from the same matrices, as the bench suites.
   */
 object JobSession {
-  def spark(app: String): SparkSession = SparkSession.builder
-    .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-    .appName(app)
-    .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-    .config("spark.sql.autoBroadcastJoinThreshold", -1)
-    .getOrCreate()
 
-  def keys(spark: SparkSession, name: String, n: Long): Array[Array[Byte]] =
-    KeySynth.collectKeys(KeySynth.dataset(spark, name, n))
+  /** Build `tables` over `[nKeys]` (default 100 000) keys and write each to
+    * `bench_results/<name>_job.md`.
+    */
+  def run(app: String, args: Array[String], tables: PaperTable[_]*): Unit = {
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(app)
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+    val in = new TableInputs(spark, args.headOption.map(_.toLong).getOrElse(100000L))
+    tables.foreach(t => emit(in, t))
+    spark.stop()
+  }
+
+  private def emit[R](in: TableInputs, t: PaperTable[R]): Unit =
+    Tables.emit(s"${t.name}_job", t.render(in, t.rows(in)))
 }
 
 /** T1 (Figure 8): compression microbenchmarks across schemes and datasets.
   * Usage: spark-submit --class repro.jobs.RunMicrobench ... [nKeys]
   */
 object RunMicrobench {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("hope-microbench")
-    val n = args.headOption.map(_.toLong).getOrElse(100000L)
-    val rows = for {
-      ds <- Seq("email", "wiki", "url")
-      keys = JobSession.keys(spark, ds, n)
-      sample = keys.take(math.max(1000, keys.length / 100))
-      scheme <- Seq[Scheme](Scheme.SingleChar, Scheme.DoubleChar,
-        Scheme.NGrams(3, 1 << 16), Scheme.NGrams(4, 1 << 16),
-        Scheme.Alm(1 << 12), Scheme.AlmImproved(1 << 16))
-    } yield Microbench.run(ds, keys, sample, scheme)
-    Tables.emit("T1_microbench_job", Tables.render("T1 Fig.8 microbenchmarks",
-      Seq("dataset", "scheme", "entries", "CPR", "ns/char", "dict"),
-      rows.map(r => Seq(r.dataset, r.scheme, r.entries.toString, Tables.fmt(r.cpr),
-        Tables.fmt(r.nsPerChar), Tables.kb(r.dictBytes)))))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = JobSession.run("hope-microbench", args, PaperTables.T1)
 }
 
 /** T2 (Figure 9): dictionary build-time breakdown on email keys. */
 object RunBuildTime {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("hope-buildtime")
-    val keys = JobSession.keys(spark, "email", args.headOption.map(_.toLong).getOrElse(100000L))
-    val sample = keys.take(math.max(1000, keys.length / 100))
-    val schemes = Seq[Scheme](Scheme.SingleChar, Scheme.DoubleChar,
-      Scheme.NGrams(3, 1 << 12), Scheme.NGrams(3, 1 << 16),
-      Scheme.NGrams(4, 1 << 12), Scheme.NGrams(4, 1 << 16),
-      Scheme.Alm(1 << 12), Scheme.AlmImproved(1 << 12), Scheme.AlmImproved(1 << 16))
-    val rows = schemes.map { s =>
-      val h = repro.core.Hope.build(sample, s)
-      Seq(s.name, h.entries.toString, Tables.fmt(h.stats.symbolSelectMs),
-        Tables.fmt(h.stats.codeAssignMs), Tables.fmt(h.stats.dictBuildMs))
-    }
-    Tables.emit("T2_buildtime_job", Tables.render("T2 Fig.9 build time (ms)",
-      Seq("scheme", "entries", "symbol-select", "code-assign", "dict"), rows))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = JobSession.run("hope-buildtime", args, PaperTables.T2)
 }
 
-/** T3+T4 (Figures 10, 11): SuRF YCSB + false positive rates. */
+/** T3 (Figure 10): SuRF YCSB, with the email false-positive rates. */
 object RunSurf {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("hope-surf")
-    val n = args.headOption.map(_.toLong).getOrElse(100000L)
-    val negatives = JobSession.keys(spark, "email", n / 2).take(20000)
-    val rows = for {
-      ds <- Seq("email", "wiki", "url")
-      keys = JobSession.keys(spark, ds, n)
-      (name, scheme) <- Configs.all
-    } yield {
-      val (row, fpr) = Harness.runSurf(ds, name, keys, scheme, suffixBits = 8,
-        negatives = if (ds == "email") negatives else Array.empty)
-      Seq(ds, name, Tables.fmt(row.pointNs), Tables.fmt(row.rangeNs),
-        Tables.kb(row.memoryBytes), Tables.fmt(row.height), f"$fpr%.4f")
-    }
-    Tables.emit("T3_surf_job", Tables.render("T3/T4 Fig.10-11 SuRF",
-      Seq("dataset", "config", "point ns", "range ns", "memory", "height", "FPR"), rows))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = JobSession.run("hope-surf", args, PaperTables.T3)
 }
 
-/** T5+T9 (Figures 12, 16): the four KV indexes, per-partition on Spark. */
+/** T5+T9 (Figures 12, 16): the four KV indexes — point queries per partition
+  * on Spark, range queries and inserts on email keys.
+  */
 object RunTrees {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("hope-trees")
-    val n = args.headOption.map(_.toLong).getOrElse(100000L)
-    val rows = for {
-      ds <- Seq("email", "wiki", "url")
-      df = KeySynth.dataset(spark, ds, n)
-      tree <- KVTree.names
-      (name, scheme) <- Configs.all
-    } yield {
-      val agg = SparkTreeEval.aggregate(
-        SparkTreeEval.perPartition(spark, df, "k", tree, ds, name, scheme))
-      Seq(ds, tree, name, Tables.fmt(agg.pointNs), Tables.fmt(agg.rangeNs),
-        Tables.fmt(agg.insertNs), Tables.kb(agg.memoryBytes))
-    }
-    Tables.emit("T5_trees_job", Tables.render("T5/T9 Fig.12+16 KV indexes",
-      Seq("dataset", "tree", "config", "point ns", "range ns", "insert ns", "memory"), rows))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.run("hope-trees", args, PaperTables.T5, PaperTables.T9)
 }
 
 /** T6-T8 (Appendices A-C): sample-size sweep, batch encoding, key drift. */
 object RunAppendix {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("hope-appendix")
-    val n = args.headOption.map(_.toLong).getOrElse(100000L)
-    val keys = JobSession.keys(spark, "email", n)
-
-    val t6 = for {
-      frac <- Seq(0.0001, 0.001, 0.01, 0.1, 1.0)
-      scheme <- Seq[Scheme](Scheme.SingleChar, Scheme.DoubleChar, Scheme.NGrams(3, 1 << 16))
-    } yield {
-      val s = keys.take(math.max(16, (keys.length * frac).toInt))
-      val r = Microbench.run("email", keys, s, scheme)
-      Seq(f"$frac%.4f", scheme.name, Tables.fmt(r.cpr))
-    }
-    Tables.emit("T6_samplesize_job", Tables.render("T6 Fig.13 sample size",
-      Seq("fraction", "scheme", "CPR"), t6))
-
-    val sortedKeys = keys.sortWith(repro.core.Bytes.compare(_, _) < 0)
-    val t7 = for {
-      scheme <- Seq[Scheme](Scheme.SingleChar, Scheme.DoubleChar,
-        Scheme.NGrams(3, 1 << 16), Scheme.NGrams(4, 1 << 16), Scheme.AlmImproved(1 << 16))
-      batch <- Seq(1, 2, 32)
-    } yield {
-      val hope = repro.core.Hope.build(keys.take(keys.length / 100), scheme)
-      var raw = 0L
-      hope.encodeBatchSorted(sortedKeys.take(2000), batch) // warm-up
-      val t0 = System.nanoTime()
-      hope.encodeBatchSorted(sortedKeys, batch).foreach(e => raw += e.bitLen)
-      val ns = (System.nanoTime() - t0).toDouble / sortedKeys.map(_.length.toLong).sum
-      Seq(scheme.name, batch.toString, Tables.fmt(ns))
-    }
-    Tables.emit("T7_batch_job", Tables.render("T7 Fig.14 batch encoding (ns/char)",
-      Seq("scheme", "batch", "ns/char"), t7))
-
-    val (dfA, dfB) = KeySynth.emailsSplit(spark, n * 2)
-    val a = KeySynth.collectKeys(dfA)
-    val b = KeySynth.collectKeys(dfB)
-    val t8 = for {
-      scheme <- Seq[Scheme](Scheme.SingleChar, Scheme.DoubleChar,
-        Scheme.NGrams(3, 1 << 16), Scheme.AlmImproved(1 << 16))
-      (dict, data, label) <- Seq((a, a, "Dict-A,Email-A"), (a, b, "Dict-A,Email-B"),
-        (b, a, "Dict-B,Email-A"), (b, b, "Dict-B,Email-B"))
-    } yield {
-      val hope = repro.core.Hope.build(dict.take(math.max(1000, dict.length / 100)), scheme)
-      val r = Microbench.measure("email", data, hope)
-      Seq(scheme.name, label, Tables.fmt(r.cpr))
-    }
-    Tables.emit("T8_drift_job", Tables.render("T8 Fig.15 key distribution change",
-      Seq("scheme", "dict/data", "CPR"), t8))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.run("hope-appendix", args, PaperTables.T6, PaperTables.T7, PaperTables.T8)
 }

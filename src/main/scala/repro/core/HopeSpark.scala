@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.{Expression, UnaryExpression}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{BinaryType, DataType}
 import org.apache.spark.unsafe.types.UTF8String
 
@@ -41,23 +40,6 @@ object HopeSpark {
       .as[String](Encoders.STRING)
       .collect()
       .map(_.getBytes(java.nio.charset.StandardCharsets.ISO_8859_1))
-
-  /** Distributed n-gram frequency statistics via Catalyst (`transform` +
-    * `explode` + `groupBy().count()`) — the Symbol Selector's counting step
-    * expressed as a DataFrame aggregation. Verified equal to the local
-    * counter in tests.
-    */
-  def gramCounts(df: DataFrame, keyCol: String, n: Int): Map[String, Long] = {
-    import org.apache.spark.sql.Row
-    df.filter(length(org.apache.spark.sql.functions.col(keyCol)) >= n)
-      .select(explode(expr(
-        s"transform(sequence(0, length($keyCol) - $n), i -> substring($keyCol, i + 1, $n))"
-      )) as "g")
-      .groupBy("g").count()
-      .collect()
-      .map { case Row(g: String, c: Long) => g -> c }
-      .toMap
-  }
 
   /** Build a HOPE dictionary from a key column: Spark draws the sample, the
     * (small) dictionary is constructed on the driver.

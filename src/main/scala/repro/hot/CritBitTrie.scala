@@ -45,6 +45,9 @@ final class CritBitTrie {
     -1
   }
 
+  /** Insert `key`, or replace its value. A key that equals a stored key
+    * after zero-padding but differs in length throws IllegalArgumentException.
+    */
   def insert(key: Array[Byte], value: Long): Unit = {
     if (root == null) { root = new Leaf(key, value); count += 1; return }
     // walk to the best-matching leaf
@@ -56,10 +59,10 @@ final class CritBitTrie {
     val leaf = node.asInstanceOf[Leaf]
     val d = firstDiffBit(key, leaf.key)
     if (d < 0) {
-      if (key.length == leaf.key.length) { leaf.value = value; return }
-      // zero-pad-equal but different length: treat longer as bigger via a
-      // virtual bit at the shorter key's end — disallowed for terminated
-      // keys; fall back to replacing equal-bits key.
+      // Keys that differ only by trailing 0x00 bytes share every bit, so the
+      // trie has no bit to tell them apart; terminated keys never do this.
+      require(key.length == leaf.key.length,
+        s"key ${Bytes.hex(key)} equals stored key ${Bytes.hex(leaf.key)} after zero-padding")
       leaf.value = value; return
     }
     val newLeaf = new Leaf(key, value)

@@ -4,29 +4,15 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.keys.KeySynth
 
-/** Spark-side behaviour: Catalyst n-gram statistics, the `hope_encode`
-  * expression, and — via the DuckDB oracle — that ordering/range/group-by
-  * queries over the encoded binary column reproduce the raw-string answers.
+/** Spark-side behaviour: key sampling, the `hope_encode` expression, and —
+  * via the DuckDB oracle — that ordering/range/group-by queries over the
+  * encoded binary column reproduce the raw-string answers.
   */
 class HopeSparkSpec extends SparkSpec {
 
   private lazy val emailDf = KeySynth.emails(spark, 2000).cache()
   private lazy val hope: BuiltHope =
     HopeSpark.build(emailDf, "k", Scheme.NGrams(3, 1 << 10), fraction = 0.5)
-
-  test("gramCounts via Catalyst equals the local counter") {
-    val sparkCounts = HopeSpark.gramCounts(emailDf, "k", 3)
-    val local = SymbolSelect.ngramCounts(KeySynth.collectKeys(emailDf), 3)
-    assert(sparkCounts.size == local.size)
-    local.foreach { case (g, c) => assert(sparkCounts(g) == c, s"gram '$g'") }
-  }
-
-  test("gramCounts ignores keys shorter than n") {
-    import spark.implicits._
-    val df = Seq("ab", "abcd").toDF("k")
-    val c = HopeSpark.gramCounts(df, "k", 3)
-    assert(c == Map("abc" -> 1L, "bcd" -> 1L))
-  }
 
   test("sampleKeys returns roughly the requested fraction") {
     val s = HopeSpark.sampleKeys(emailDf, "k", 0.2, seed = 3)

@@ -32,6 +32,14 @@ class CritBitSpec extends AnyFunSuite {
     assert(t.get(Bytes.of("x\u0000")) == 7 && t.size == 1)
   }
 
+  test("a key equal to a stored key after zero-padding is rejected, not merged") {
+    val t = new CritBitTrie
+    t.insert(Bytes.of("a"), 1)
+    val e = intercept[IllegalArgumentException](t.insert(Bytes.of("a\u0000"), 2))
+    assert(e.getMessage.contains(Bytes.hex(Bytes.of("a\u0000"))), e.getMessage)
+    assert(t.get(Bytes.of("a")) == 1 && t.size == 1)
+  }
+
   test("randomized insert/get vs TreeMap (20k terminated keys)") {
     val t = new CritBitTrie; val ref = refMap
     randKeys(20000, 10, 13).zipWithIndex.foreach { case (k, i) =>
